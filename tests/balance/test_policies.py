@@ -99,6 +99,98 @@ def test_lottery_matches_inline_formula_draw_for_draw():
         assert policy.select(candidates, now) is expected
 
 
+def _reference_effective_queue(state, now, estimate_deltas):
+    """The pre-optimisation ``AdvertState.effective_queue`` body: the
+    slope recomputed from the two report samples on every call."""
+    value = state.queue_avg
+    if estimate_deltas:
+        if (state.prev_received_at is not None
+                and state.received_at > state.prev_received_at):
+            slope = ((state.queue_avg - state.prev_queue_avg)
+                     / (state.received_at - state.prev_received_at))
+            value += slope * (now - state.received_at)
+        value += state.sent_since_report
+    return max(0.0, value)
+
+
+def _refreshed_pool(size, scenario):
+    """``size`` adverts cycled through every refresh shape the stub
+    sees: a newer report (slope set), a second newer report received at
+    the same instant (slope cleared), a duplicate beacon, a steep fall that
+    extrapolates below zero, and local dispatches since the report."""
+    pool = []
+    for i in range(size):
+        name = f"w{i}"
+        first = scenario.uniform(0.0, 12.0)
+        state = make_state(name, queue=first, now=0.0, report_at=0.0)
+        shape = i % 5
+        if shape == 0:      # newer report later: slope set
+            state.refresh(make_state(
+                name, queue=scenario.uniform(0.0, 12.0),
+                report_at=1.0).advert, now=0.5 + scenario.random())
+        elif shape == 1:    # slope set, then cleared by a newer report
+            state.refresh(make_state(   # received at the same instant
+                name, queue=scenario.uniform(0.0, 12.0),
+                report_at=0.5).advert, now=0.5)
+            state.refresh(make_state(
+                name, queue=scenario.uniform(0.0, 12.0),
+                report_at=1.0).advert, now=0.5)
+        elif shape == 2:    # slope set, then a duplicate beacon
+            state.refresh(make_state(
+                name, queue=first + 3.0, report_at=1.0).advert, now=1.0)
+            state.refresh(make_state(
+                name, queue=first + 3.0, report_at=1.0).advert, now=1.4)
+        elif shape == 3:    # steep fall: extrapolates negative
+            state.refresh(make_state(
+                name, queue=0.5, report_at=1.0).advert, now=0.25)
+        state.sent_since_report = scenario.randint(0, 4)
+        pool.append(state)
+    return pool
+
+
+@pytest.mark.parametrize("estimate", [True, False])
+@pytest.mark.parametrize("gamma", [0.0, 1.5, 2.0])
+def test_lottery_matches_reference_over_refreshed_pool(estimate, gamma):
+    """128 refreshed candidates, 500 picks: the policy must return the
+    very candidate the old inline weights plus ``weighted_choice`` pick,
+    while the stub's own bookkeeping (local dispatch counts, newer and
+    duplicate reports) keeps moving the hints between picks."""
+    config = SNSConfig(estimate_queue_deltas=estimate, lottery_gamma=gamma)
+    policy = LotteryPolicy(config, lottery_stream(seed=29))
+    reference = lottery_stream(seed=29)
+    scenario = RandomStreams(31).stream("scenario")
+    candidates = _refreshed_pool(128, scenario)
+    assert any(state.prev_received_at is not None
+               and state.received_at > state.prev_received_at
+               for state in candidates)
+    # some hints extrapolate below zero and are clamped
+    assert any(_reference_effective_queue(state, 2.0, True) == 0.0
+               for state in candidates)
+    report_at = 1.0
+    for round_number in range(500):
+        now = 2.0 + 0.01 * round_number
+        expected_weights = [
+            1.0 / (1.0 + _reference_effective_queue(state, now, estimate))
+            ** gamma
+            for state in candidates
+        ]
+        expected = reference.weighted_choice(candidates,
+                                             expected_weights)
+        chosen = policy.select(candidates, now)
+        assert chosen is expected
+        chosen.sent_since_report += 1
+        if round_number % 7 == 0:
+            report_at += 0.05
+            target = candidates[scenario.randint(0, 127)]
+            target.refresh(make_state(
+                target.advert.worker_name,
+                queue=scenario.uniform(0.0, 12.0),
+                report_at=report_at).advert, now=now)
+        if round_number % 11 == 0:
+            target = candidates[scenario.randint(0, 127)]
+            target.refresh(target.advert, now=now)  # duplicate beacon
+
+
 # -- round-robin --------------------------------------------------------------
 
 def test_round_robin_cycles_sorted_by_name():
