@@ -79,10 +79,11 @@ class RoutingPolicy:
 class LotteryPolicy(RoutingPolicy):
     """The paper's policy: lottery scheduling over effective queues.
 
-    weight = 1 / (1 + effective_queue)^gamma, one ``weighted_choice``
-    draw per pick from the stub's ``lottery:{owner}`` stream.  This is
-    a verbatim extraction of the pre-refactor ``ManagerStub.pick``
-    arithmetic — byte-identical behaviour is a hard requirement.
+    weight = 1 / (1 + effective_queue)^gamma, one draw per pick from
+    the stub's ``lottery:{owner}`` stream.  Picks are byte-identical to
+    the original ``effective_queue`` weights fed to
+    ``Stream.weighted_choice``; ``select`` only does the same arithmetic
+    in one pass, since it runs once per dispatch over every candidate.
     """
 
     name = "lottery"
@@ -93,13 +94,36 @@ class LotteryPolicy(RoutingPolicy):
 
     def select(self, candidates: Sequence[Any], now: float,
                key: Optional[str] = None) -> Any:
-        weights = [
-            1.0 / (1.0 + state.effective_queue(
-                now, self.config.estimate_queue_deltas))
-            ** self.config.lottery_gamma
-            for state in candidates
-        ]
-        return self.rng.weighted_choice(candidates, weights)
+        estimate = self.config.estimate_queue_deltas
+        gamma = self.config.lottery_gamma
+        weights: List[float] = []
+        cumulative: List[float] = []
+        add_weight = weights.append
+        add_cumulative = cumulative.append
+        running = 0.0
+        for state in candidates:
+            # AdvertState.effective_queue, inlined
+            value = state.queue_avg
+            if estimate:
+                slope = state.slope
+                if slope is not None:
+                    value += slope * (now - state.received_at)
+                value += state.sent_since_report
+            # ``** gamma``, not ``x * x``: the two can differ in the
+            # last ulp, and the picks must not
+            weight = 1.0 / (1.0 + (value if value > 0.0 else 0.0)) ** gamma
+            add_weight(weight)
+            running += weight
+            add_cumulative(running)
+        # weighted_choice's total: on 3.12 ``sum`` of floats is
+        # compensated, so it can differ from the running sum
+        total = float(sum(weights))
+        if total <= 0:
+            raise ValueError("total weight must be positive")
+        index = bisect_right(cumulative, self.rng.random() * total)
+        if index < len(candidates):
+            return candidates[index]
+        return candidates[-1]
 
 
 class RoundRobinPolicy(RoutingPolicy):

@@ -45,6 +45,10 @@ class AdvertState:
         self.received_at = now
         self.prev_queue_avg: Optional[float] = None
         self.prev_received_at: Optional[float] = None
+        #: queue change per second between the last two reports; None
+        #: until two reports with distinct receive times exist.  Cached
+        #: here because every pick reads it and only a report changes it.
+        self.slope: Optional[float] = None
         self.sent_since_report = 0
 
     def refresh(self, advert: WorkerAdvert, now: float) -> None:
@@ -55,17 +59,21 @@ class AdvertState:
             self.queue_avg = advert.queue_avg
             self.received_at = now
             self.sent_since_report = 0
+            self.slope = None
+            if now > self.prev_received_at:
+                self.slope = ((self.queue_avg - self.prev_queue_avg)
+                              / (now - self.prev_received_at))
         self.advert = advert
 
     def effective_queue(self, now: float, estimate_deltas: bool) -> float:
-        """The queue length the lottery should believe right now."""
+        """The queue length the lottery should believe right now.
+
+        :class:`~repro.balance.policies.LotteryPolicy` inlines this
+        arithmetic; keep the two in step."""
         value = self.queue_avg
         if estimate_deltas:
-            if (self.prev_received_at is not None
-                    and self.received_at > self.prev_received_at):
-                slope = ((self.queue_avg - self.prev_queue_avg)
-                         / (self.received_at - self.prev_received_at))
-                value += slope * (now - self.received_at)
+            if self.slope is not None:
+                value += self.slope * (now - self.received_at)
             value += self.sent_since_report
         return max(0.0, value)
 

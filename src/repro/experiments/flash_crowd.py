@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.chaos.batch import run_campaign_shard
 from repro.chaos.report import ChaosReport
 from repro.experiments._harness import run_grid
 
@@ -142,6 +141,10 @@ def run_flash_crowd(seed: int = 1997,
                     jobs: int = 1) -> FlashCrowdResult:
     """Run both arms; ``jobs > 1`` fans them across processes,
     byte-identical to serial."""
+    # function scope: repro.chaos.batch imports the experiments package
+    # (via chaos.campaign), so a module-level import here is a cycle
+    from repro.chaos.batch import run_campaign_shard
+
     arms = [dict(name=name, seed=seed) for name in ARMS]
     if jobs > 1:
         reports = list(run_grid(run_campaign_shard, arms, jobs=jobs,

@@ -63,3 +63,53 @@ def test_duplicate_beacon_keeps_sent_counter_and_slope_basis():
     assert state.sent_since_report == 3
     assert state.received_at == 0.0      # slope basis unchanged
     assert state.advert is duplicate     # but the advert is refreshed
+
+
+# -- the cached slope ------------------------------------------------------------
+
+def old_slope(state):
+    """The slope as effective_queue used to recompute it on every call."""
+    if (state.prev_received_at is not None
+            and state.received_at > state.prev_received_at):
+        return ((state.queue_avg - state.prev_queue_avg)
+                / (state.received_at - state.prev_received_at))
+    return None
+
+
+def test_slope_is_none_after_first_advert():
+    state = AdvertState(make_advert(3.0, report_at=0.0), now=0.0)
+    assert state.slope is None
+
+
+def test_slope_stays_none_after_duplicate_report():
+    state = AdvertState(make_advert(3.0, report_at=0.0), now=0.0)
+    state.refresh(make_advert(5.0, report_at=0.0), now=0.7)
+    assert state.slope is None
+
+
+def test_slope_is_none_when_newer_report_arrives_at_same_instant():
+    state = AdvertState(make_advert(3.0, report_at=0.0), now=0.0)
+    state.refresh(make_advert(4.0, report_at=0.5), now=0.4)
+    assert state.slope is not None
+    state.refresh(make_advert(5.0, report_at=1.0), now=0.4)
+    assert state.slope is None
+    assert state.effective_queue(2.0, estimate_deltas=True) == 5.0
+
+
+def test_slope_equals_old_formula_after_newer_reports():
+    state = AdvertState(make_advert(0.3, report_at=0.0), now=0.1)
+    for step, (queue, now) in enumerate([(1.7, 0.35), (0.9, 0.6),
+                                         (4.1, 1.05), (4.1, 1.3)]):
+        state.refresh(make_advert(queue, report_at=float(step + 1)),
+                      now=now)
+        assert state.slope == old_slope(state)
+        assert state.slope is not None
+
+
+def test_duplicate_report_keeps_cached_slope():
+    state = AdvertState(make_advert(2.0, report_at=0.0), now=0.0)
+    state.refresh(make_advert(4.0, report_at=1.0), now=1.0)
+    state.refresh(make_advert(4.0, report_at=1.0), now=1.5)
+    assert state.slope == 2.0
+    assert state.effective_queue(2.0, estimate_deltas=True) == \
+        pytest.approx(6.0)
