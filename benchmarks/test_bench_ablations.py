@@ -29,8 +29,7 @@ def _drive(fabric, rate, duration, seed=1997, timeout_s=45.0):
                     f"http://bench/img{index}.jpg", "image/jpeg", 10240)
         for index in range(40)
     ]
-    fabric.cluster.env.process(
-        engine.constant_rate(rate, duration, pool))
+    engine.ramp([(duration, rate)], pool)
     return engine
 
 

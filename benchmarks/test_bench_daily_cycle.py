@@ -43,7 +43,7 @@ def run_day(seed=1997, compressed_day_s=900.0, peak_rate_rps=90.0):
         rate = max(0.5, peak_rate_rps / 1.65
                    * daily_cycle_factor(hour_time))
         steps.append((compressed_day_s / n_steps, rate))
-    env.process(engine.ramp(steps, pool))
+    engine.ramp(steps, pool)
 
     pool_sizes = []
     overflow_in_use = []

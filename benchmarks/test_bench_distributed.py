@@ -35,8 +35,7 @@ def control_rate(n_frontends, balancing, workers=8, duration=30.0,
     beacons = fabric.cluster.multicast.group(BEACON_GROUP)
     start = (announce.delivered, beacons.delivered,
              fabric.manager.reports_received, fabric.cluster.env.now)
-    fabric.cluster.env.process(
-        engine.constant_rate(40.0, duration, pool))
+    engine.ramp([(duration, 40.0)], pool)
     fabric.cluster.run(until=start[3] + duration)
     elapsed = fabric.cluster.env.now - start[3]
     messages = ((announce.delivered - start[0])

@@ -25,8 +25,7 @@ def run_mode(process_pair, seed=1997, kill_at=30.0, duration=90.0):
     pool = [TraceRecord(0.0, f"client{index}",
                         f"http://bench/img{index}.jpg", "image/jpeg",
                         10240) for index in range(30)]
-    fabric.cluster.env.process(
-        engine.constant_rate(20.0, duration, pool))
+    engine.ramp([(duration, 20.0)], pool)
 
     def killer(env):
         yield env.timeout(kill_at - env.now)

@@ -26,8 +26,7 @@ def test_rolling_upgrade_availability(benchmark):
         pool = [TraceRecord(0.0, f"client{index}",
                             f"http://bench/img{index}.jpg",
                             "image/jpeg", 10240) for index in range(30)]
-        fabric.cluster.env.process(
-            engine.constant_rate(15.0, 200.0, pool))
+        engine.ramp([(200.0, 15.0)], pool)
         upgrade = HotUpgrade(fabric, hold_s=4.0, settle_s=8.0)
         fabric.cluster.env.process(upgrade.rolling())
         fabric.cluster.run(until=280.0)

@@ -34,7 +34,7 @@ def main() -> None:
     pool = [TraceRecord(0.0, f"client{index}",
                         f"http://site/img{index}.jpg", "image/jpeg",
                         10240) for index in range(30)]
-    fabric.cluster.env.process(engine.constant_rate(15.0, 160.0, pool))
+    engine.ramp([(160.0, 15.0)], pool)
 
     upgrade = HotUpgrade(fabric, hold_s=4.0, settle_s=8.0)
     fabric.cluster.env.process(upgrade.rolling())

@@ -38,7 +38,7 @@ def main() -> None:
         transend.cluster.env, transend.submit,
         rng=RandomStreams(7).stream("example"),
         timeout_s=120.0)
-    transend.cluster.env.process(engine.play(trace))
+    engine.play(trace)
 
     # fault injection: kill whatever distiller exists at t=45s
     def saboteur(env):

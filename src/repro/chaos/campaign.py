@@ -23,7 +23,8 @@ from repro.chaos.invariants import InvariantChecker
 from repro.chaos.report import ChaosReport, build_report
 from repro.core.config import SNSConfig
 from repro.core.messages import BEACON_GROUP
-from repro.experiments._harness import build_bench_fabric
+from repro.experiments._harness import (SINGLE_REPLAY_PER_TXN_S,
+                                        SINGLE_RESTART_S, build_bench_fabric)
 from repro.recovery.ledger import RecoveryLedger
 from repro.recovery.policy import RecoveryPolicy
 from repro.sim.failures import FaultInjector, FaultRecord
@@ -39,18 +40,34 @@ WORKER_TYPE = "jpeg-distiller"
 
 @dataclass
 class Fault:
-    """Base action: something bad happens at ``at`` seconds."""
+    """Base action: something bad happens at ``at`` seconds.
+
+    A fault carries its own behaviour: :meth:`arm` schedules it on a
+    :class:`CampaignRunner` (by default, :meth:`fire` at ``at``), and
+    :meth:`fire` resolves its victim at fire time, because populations
+    churn.  Faults with a window declare ``duration_s`` as a field;
+    instant ones keep the class default of None.
+    """
 
     at: float
+
+    duration_s = None
+    #: the invariant checker must see the workers re-register after
+    #: :attr:`heals_at` (the fault can cut them off the manager).
+    needs_reregistration_check = False
 
     @property
     def heals_at(self) -> float:
         """When this fault stops being injected (instant for kills)."""
-        return self.at
+        if self.duration_s is None:
+            return self.at
+        return self.at + self.duration_s
 
-    @property
-    def needs_reregistration_check(self) -> bool:
-        return False
+    def arm(self, run: "CampaignRunner") -> None:
+        run.call_at(self.at, lambda: self.fire(run))
+
+    def fire(self, run: "CampaignRunner") -> None:
+        raise TypeError(f"unknown campaign action {self!r}")
 
 
 @dataclass
@@ -59,29 +76,52 @@ class KillWorker(Fault):
 
     count: int = 1
 
+    def fire(self, run: "CampaignRunner") -> None:
+        for stub in run.alive_workers()[:self.count]:
+            run.injector.kill_now(stub)
+
 
 @dataclass
 class KillManager(Fault):
     """Kill the manager; front-end watchdogs must restart it."""
+
+    def fire(self, run: "CampaignRunner") -> None:
+        manager = run.fabric.manager
+        if manager is not None and manager.alive:
+            run.injector.kill_now(manager)
 
 
 @dataclass
 class KillFrontEnd(Fault):
     """Kill one front end; the manager must restart it."""
 
+    def fire(self, run: "CampaignRunner") -> None:
+        frontends = run.fabric.alive_frontends()
+        if len(frontends) > 1:  # keep one to restart the manager
+            run.injector.kill_now(
+                sorted(frontends, key=lambda fe: fe.name)[-1])
+
 
 @dataclass
 class CrashWorkerNode(Fault):
     """Crash the node hosting a worker (taking the worker with it),
-    optionally restarting the node after ``restart_after`` seconds."""
+    optionally restarting the node after ``duration_s`` seconds."""
 
-    restart_after: Optional[float] = None
+    duration_s: Optional[float] = None
 
-    @property
-    def heals_at(self) -> float:
-        if self.restart_after is None:
-            return self.at
-        return self.at + self.restart_after
+    def fire(self, run: "CampaignRunner") -> None:
+        workers = run.alive_workers()
+        if not workers:
+            return
+        node = workers[0].node
+        node.crash()
+        run.injector.log.append(
+            FaultRecord(run.env.now, "node-crash", node.name))
+        for stub in list(run.fabric.workers.values()):
+            if stub.alive and stub.node is node:
+                run.injector.kill_now(stub)
+        if self.duration_s is not None:
+            run.call_at(run.env.now + self.duration_s, node.restart)
 
 
 @dataclass
@@ -89,14 +129,13 @@ class PartitionWorker(Fault):
     """Cut one worker off the SAN for ``duration_s`` (Section 2.2.4)."""
 
     duration_s: float = 10.0
+    needs_reregistration_check = True
 
-    @property
-    def heals_at(self) -> float:
-        return self.at + self.duration_s
-
-    @property
-    def needs_reregistration_check(self) -> bool:
-        return True
+    def fire(self, run: "CampaignRunner") -> None:
+        workers = run.alive_workers()
+        if workers:
+            run.injector.partition_at(run.env.now, workers[0],
+                                      self.duration_s)
 
 
 @dataclass
@@ -115,19 +154,32 @@ class PartitionSAN(Fault):
 
     isolate: List[str] = field(default_factory=lambda: ["manager"])
     duration_s: float = 15.0
+    needs_reregistration_check = True
 
-    @property
-    def heals_at(self) -> float:
-        return self.at + self.duration_s
-
-    @property
-    def needs_reregistration_check(self) -> bool:
-        return True
+    def fire(self, run: "CampaignRunner") -> None:
+        partitions = run.cluster.install_partitions()
+        groups = {}
+        for spec in self.isolate:
+            node_name = run.resolve_node_spec(spec)
+            if node_name is not None:
+                groups[node_name] = "isolated"
+        if not groups:
+            return
+        partitions.split(groups, duration_s=self.duration_s)
+        run.injector.log.append(FaultRecord(
+            run.env.now, "san-partition", "+".join(sorted(groups))))
 
 
 @dataclass
 class HealSAN(Fault):
     """End every active SAN partition window immediately."""
+
+    def fire(self, run: "CampaignRunner") -> None:
+        partitions = run.cluster.network.partitions
+        if partitions is not None and partitions.active():
+            partitions.heal()
+            run.injector.log.append(
+                FaultRecord(run.env.now, "san-heal", "all"))
 
 
 @dataclass
@@ -141,14 +193,17 @@ class AsymmetricLink(Fault):
     src: str = "worker:0"
     dst: str = "manager"
     duration_s: float = 10.0
+    needs_reregistration_check = True
 
-    @property
-    def heals_at(self) -> float:
-        return self.at + self.duration_s
-
-    @property
-    def needs_reregistration_check(self) -> bool:
-        return True
+    def fire(self, run: "CampaignRunner") -> None:
+        partitions = run.cluster.install_partitions()
+        src = run.resolve_node_spec(self.src)
+        dst = run.resolve_node_spec(self.dst)
+        if src is None or dst is None or src == dst:
+            return
+        partitions.one_way(src, dst, duration_s=self.duration_s)
+        run.injector.log.append(FaultRecord(
+            run.env.now, "san-oneway", f"{src}->{dst}"))
 
 
 @dataclass
@@ -167,15 +222,18 @@ class LossyWindow(Fault):
     jitter_s: float = 0.0
 
     @property
-    def heals_at(self) -> float:
-        return self.at + self.duration_s
-
-    @property
     def needs_reregistration_check(self) -> bool:
         # dropped beacons can silently expire workers from the manager's
         # view; after the window heals the soft-state machinery must put
         # them back
         return self.loss > 0
+
+    def arm(self, run: "CampaignRunner") -> None:
+        # the fault model schedules its own window
+        run.faults.impose(
+            scope=self.scope, loss=self.loss, duplicate=self.duplicate,
+            jitter_s=self.jitter_s, start=self.at,
+            duration_s=self.duration_s)
 
 
 @dataclass
@@ -187,11 +245,14 @@ class Straggle(Fault):
     factor: float = 0.25
     duration_s: Optional[float] = None
 
-    @property
-    def heals_at(self) -> float:
-        if self.duration_s is None:
-            return self.at
-        return self.at + self.duration_s
+    def fire(self, run: "CampaignRunner") -> None:
+        workers = run.alive_workers()
+        if not workers:
+            return
+        node = workers[-1].node
+        node.degrade(self.factor)
+        if self.duration_s is not None:
+            run.call_at(run.env.now + self.duration_s, node.recover_speed)
 
 
 @dataclass
@@ -203,28 +264,60 @@ class RollingKills(Fault):
     duration_s: float = 20.0
     period_s: float = 5.0
 
-    @property
-    def heals_at(self) -> float:
-        return self.at + self.duration_s
+    def arm(self, run: "CampaignRunner") -> None:
+        run.injector.rolling_kills(
+            run.alive_workers, start=self.at, period_s=self.period_s,
+            stop_at=self.at + self.duration_s)
 
 
 @dataclass
-class GrayWorkerFault(Fault):
-    """Base for gray failures: the victim worker stays alive and keeps
-    beaconing load reports while failing at its actual job (Section 4.5's
-    operational incidents).  ``heals_at == at`` deliberately — nothing
-    in the fault heals itself; healing is the supervision layer's job
-    and is measured by the recovery ledger, not assumed by the schedule.
+class GrayFault(Fault):
+    """Base for gray failures: the victim stays alive while failing at
+    its job.  ``heals_at == at`` deliberately — nothing in the fault
+    heals itself; healing is the supervision layer's job and is
+    measured by the recovery ledger, not assumed by the schedule.
+
+    A subclass picks its target (:meth:`pick`) and flips one
+    :class:`~repro.recovery.gray.GrayState` verb on it (:meth:`apply`);
+    firing logs the fault and opens its ledger case.
+    """
+
+    kind = "gray"
+
+    def pick(self, run: "CampaignRunner") -> Optional[Any]:
+        raise NotImplementedError
+
+    def apply(self, target: Any, now: float) -> None:
+        raise NotImplementedError
+
+    def fire(self, run: "CampaignRunner") -> None:
+        target = self.pick(run)
+        if target is None:
+            return
+        now = run.env.now
+        self.apply(target, now)
+        run.injector.log.append(FaultRecord(now, self.kind, target.name))
+        run.ledger.inject(self.kind, target.name)
+
+
+@dataclass
+class GrayWorkerFault(GrayFault):
+    """Base for worker gray failures: the victim worker keeps beaconing
+    load reports while failing at its actual job (Section 4.5's
+    operational incidents).
 
     ``victim`` indexes into the gray-healthy live workers (sorted by
     name) at fire time, so one campaign can hit distinct workers.
     """
 
     victim: int = 0
-    kind = "gray"
 
-    def apply(self, stub: Any, now: float) -> None:
-        raise NotImplementedError
+    def pick(self, run: "CampaignRunner") -> Optional[Any]:
+        candidates = [stub for stub in run.alive_workers()
+                      if not stub.gray.is_gray]
+        if not candidates:
+            return None
+        return candidates[self.victim % len(candidates)]
 
 
 @dataclass
@@ -300,18 +393,49 @@ class KillBrick(Fault):
 
     slot: int = 0
 
+    def fire(self, run: "CampaignRunner") -> None:
+        bricks = run.fabric.profile_bricks
+        if bricks is not None:
+            brick = bricks.brick_at(self.slot)
+            if brick is not None and brick.alive:
+                run.ledger.inject("brick-kill", brick.name)
+                run.injector.kill_now(brick)
+            return
+        store = run.fabric.profile_store
+        if store is None:
+            return
+        service = run.fabric.service
+        now = run.env.now
+        outage = SINGLE_RESTART_S + \
+            SINGLE_REPLAY_PER_TXN_S * store.commits
+        service.store_down_until = max(service.store_down_until,
+                                       now + outage)
+        run.injector.log.append(
+            FaultRecord(now, "store-kill", "profile-store"))
+        case = run.ledger.inject("brick-kill", "profile-store")
+        case.detected_at = now
+        case.detector = "restart-watchdog"
+        case.detail = f"WAL replay of {store.commits} txns"
+        run.call_at(now + outage,
+                    lambda: run.ledger.note_healed(
+                        case, "restart+replay", "profile-store"))
+
 
 @dataclass
-class GrayBrickFault(Fault):
-    """Base for brick gray failures (dstore backend only): the brick
-    stays alive while failing at its job.  Healing is the supervision
-    layer's job, measured by the ledger, never assumed."""
+class GrayBrickFault(GrayFault):
+    """Base for brick gray failures (dstore backend only; the single
+    backend has no gray surface)."""
 
     slot: int = 0
-    kind = "gray"
 
-    def apply(self, brick: Any, now: float) -> None:
-        raise NotImplementedError
+    def pick(self, run: "CampaignRunner") -> Optional[Any]:
+        bricks = run.fabric.profile_bricks
+        if bricks is None:
+            return None
+        brick = bricks.brick_at(self.slot)
+        if brick is None or not brick.alive or brick.gray.is_gray:
+            return None
+        return brick
 
 
 @dataclass
@@ -512,7 +636,6 @@ class CampaignRunner:
             self.fabric.profile_bricks.ledger = self.ledger
         self.supervisor: Optional[Any] = None
         self.controller: Optional[Any] = None
-        self._straggled: List[Any] = []
         #: deterministic profile-writer counters (attempted includes
         #: writes refused while the single store is down).
         self.profile_writes = {"attempted": 0, "committed": 0,
@@ -520,17 +643,16 @@ class CampaignRunner:
 
     # -- target selection (resolved at fire time: populations churn) -----
 
-    def _alive_workers(self) -> List[Any]:
+    def alive_workers(self) -> List[Any]:
         return sorted(self.fabric.alive_workers(),
                       key=lambda stub: stub.name)
 
-    def _at(self, time: float, fire: Callable[[], None]) -> None:
-        def later():
-            yield self.env.timeout(max(0.0, time - self.env.now))
-            fire()
-        self.env.process(later())
+    def call_at(self, time: float, fire: Callable[[], None]) -> None:
+        """Run ``fire()`` at simulated time ``time`` (now, if past)."""
+        self.env.schedule_call(max(0.0, time - self.env.now),
+                               lambda _event: fire())
 
-    def _resolve_node_spec(self, spec: str) -> Optional[str]:
+    def resolve_node_spec(self, spec: str) -> Optional[str]:
         """Turn a symbolic node spec into a node name at fire time."""
         if spec == "manager":
             manager = self.fabric.manager
@@ -539,7 +661,7 @@ class CampaignRunner:
                 manager = group.leader or group.replicas[0]
             return manager.node.name if manager is not None else None
         if spec.startswith("worker:"):
-            workers = self._alive_workers()
+            workers = self.alive_workers()
             if not workers:
                 return None
             index = int(spec.split(":", 1)[1])
@@ -552,174 +674,6 @@ class CampaignRunner:
             index = int(spec.split(":", 1)[1])
             return frontends[index % len(frontends)].node.name
         return spec
-
-    # -- arming actions ---------------------------------------------------------
-
-    def _arm(self, action: Fault) -> None:
-        if isinstance(action, KillWorker):
-            def kill_workers(action=action):
-                for stub in self._alive_workers()[:action.count]:
-                    self.injector.kill_now(stub)
-            self._at(action.at, kill_workers)
-        elif isinstance(action, KillManager):
-            def kill_manager():
-                manager = self.fabric.manager
-                if manager is not None and manager.alive:
-                    self.injector.kill_now(manager)
-            self._at(action.at, kill_manager)
-        elif isinstance(action, KillFrontEnd):
-            def kill_frontend():
-                frontends = self.fabric.alive_frontends()
-                if len(frontends) > 1:  # keep one to restart the manager
-                    self.injector.kill_now(
-                        sorted(frontends, key=lambda fe: fe.name)[-1])
-            self._at(action.at, kill_frontend)
-        elif isinstance(action, CrashWorkerNode):
-            def crash_node(action=action):
-                workers = self._alive_workers()
-                if not workers:
-                    return
-                node = workers[0].node
-                node.crash()
-                self.injector.log.append(
-                    FaultRecord(self.env.now, "node-crash", node.name))
-                for stub in list(self.fabric.workers.values()):
-                    if stub.alive and stub.node is node:
-                        self.injector.kill_now(stub)
-                if action.restart_after is not None:
-                    self._at(self.env.now + action.restart_after,
-                             node.restart)
-            self._at(action.at, crash_node)
-        elif isinstance(action, PartitionWorker):
-            def partition(action=action):
-                workers = self._alive_workers()
-                if workers:
-                    self.injector.partition_at(
-                        self.env.now, workers[0], action.duration_s)
-            self._at(action.at, partition)
-        elif isinstance(action, PartitionSAN):
-            def partition_san(action=action):
-                partitions = self.cluster.install_partitions()
-                groups = {}
-                for spec in action.isolate:
-                    node_name = self._resolve_node_spec(spec)
-                    if node_name is not None:
-                        groups[node_name] = "isolated"
-                if not groups:
-                    return
-                partitions.split(groups, duration_s=action.duration_s)
-                self.injector.log.append(FaultRecord(
-                    self.env.now, "san-partition",
-                    "+".join(sorted(groups))))
-            self._at(action.at, partition_san)
-        elif isinstance(action, HealSAN):
-            def heal_san():
-                partitions = self.cluster.network.partitions
-                if partitions is not None and partitions.active():
-                    partitions.heal()
-                    self.injector.log.append(
-                        FaultRecord(self.env.now, "san-heal", "all"))
-            self._at(action.at, heal_san)
-        elif isinstance(action, AsymmetricLink):
-            def asymmetric(action=action):
-                partitions = self.cluster.install_partitions()
-                src = self._resolve_node_spec(action.src)
-                dst = self._resolve_node_spec(action.dst)
-                if src is None or dst is None or src == dst:
-                    return
-                partitions.one_way(src, dst,
-                                   duration_s=action.duration_s)
-                self.injector.log.append(FaultRecord(
-                    self.env.now, "san-oneway", f"{src}->{dst}"))
-            self._at(action.at, asymmetric)
-        elif isinstance(action, LossyWindow):
-            self.faults.impose(
-                scope=action.scope, loss=action.loss,
-                duplicate=action.duplicate, jitter_s=action.jitter_s,
-                start=action.at, duration_s=action.duration_s)
-        elif isinstance(action, Straggle):
-            def straggle(action=action):
-                workers = self._alive_workers()
-                if not workers:
-                    return
-                node = workers[-1].node
-                node.degrade(action.factor)
-                self._straggled.append(node)
-                if action.duration_s is not None:
-                    self._at(self.env.now + action.duration_s,
-                             node.recover_speed)
-            self._at(action.at, straggle)
-        elif isinstance(action, GrayWorkerFault):
-            def inject_gray(action=action):
-                candidates = [stub for stub in self._alive_workers()
-                              if not stub.gray.is_gray]
-                if not candidates:
-                    return
-                stub = candidates[action.victim % len(candidates)]
-                now = self.env.now
-                action.apply(stub, now)
-                self.injector.log.append(
-                    FaultRecord(now, action.kind, stub.name))
-                self.ledger.inject(action.kind, stub.name)
-            self._at(action.at, inject_gray)
-        elif isinstance(action, RollingKills):
-            self.injector.rolling_kills(
-                self._alive_workers, start=action.at,
-                period_s=action.period_s,
-                stop_at=action.at + action.duration_s)
-        elif isinstance(action, KillBrick):
-            def kill_brick(action=action):
-                bricks = self.fabric.profile_bricks
-                if bricks is not None:
-                    brick = bricks.brick_at(action.slot)
-                    if brick is not None and brick.alive:
-                        self.ledger.inject("brick-kill", brick.name)
-                        self.injector.kill_now(brick)
-                elif self.fabric.profile_store is not None:
-                    self._kill_single_store()
-            self._at(action.at, kill_brick)
-        elif isinstance(action, GrayBrickFault):
-            def inject_brick_gray(action=action):
-                bricks = self.fabric.profile_bricks
-                if bricks is None:
-                    return  # single backend has no gray surface
-                brick = bricks.brick_at(action.slot)
-                if brick is None or not brick.alive \
-                        or brick.gray.is_gray:
-                    return
-                now = self.env.now
-                action.apply(brick, now)
-                self.injector.log.append(
-                    FaultRecord(now, action.kind, brick.name))
-                self.ledger.inject(action.kind, brick.name)
-            self._at(action.at, inject_brick_gray)
-        else:
-            raise TypeError(f"unknown campaign action {action!r}")
-
-    def _kill_single_store(self) -> None:
-        """Single-backend equivalent of a brick kill: the one store is
-        down for restart **plus WAL replay proportional to committed
-        transactions**.  The outage enters the ledger as an instantly
-        detected case healed at replay end, so both backends' MTTR land
-        in the same report column."""
-        from repro.experiments._harness import (SINGLE_REPLAY_PER_TXN_S,
-                                                SINGLE_RESTART_S)
-        store = self.fabric.profile_store
-        service = self.fabric.service
-        now = self.env.now
-        outage = SINGLE_RESTART_S + \
-            SINGLE_REPLAY_PER_TXN_S * store.commits
-        service.store_down_until = max(service.store_down_until,
-                                       now + outage)
-        self.injector.log.append(
-            FaultRecord(now, "store-kill", "profile-store"))
-        case = self.ledger.inject("brick-kill", "profile-store")
-        case.detected_at = now
-        case.detector = "restart-watchdog"
-        case.detail = f"WAL replay of {store.commits} txns"
-        self._at(now + outage,
-                 lambda: self.ledger.note_healed(
-                     case, "restart+replay", "profile-store"))
 
     # -- profile write load ------------------------------------------------
 
@@ -809,17 +763,14 @@ class CampaignRunner:
                                   else "interactive"))
             for index in range(campaign.pool_size)
         ]
-        if campaign.arrival_schedule is not None:
-            self.env.process(self.engine.ramp(
-                campaign.arrival_schedule, pool))
-        else:
-            self.env.process(self.engine.constant_rate(
-                campaign.rate_rps, campaign.duration_s, pool))
+        self.engine.ramp(campaign.arrival_schedule
+                         or [(campaign.duration_s, campaign.rate_rps)],
+                         pool)
         if campaign.profile_backend is not None:
             self.env.process(self._profile_writer())
 
         for action in campaign.actions:
-            self._arm(action)
+            action.arm(self)
             if action.needs_reregistration_check:
                 self.checker.expect_reregistration(action.heals_at)
         self.checker.expect_convergence(
@@ -960,9 +911,9 @@ def _crash_restart() -> Campaign:
         description="node crash-restart loops with beacon loss",
         duration_s=65.0,
         actions=[
-            CrashWorkerNode(at=10.0, restart_after=15.0),
+            CrashWorkerNode(at=10.0, duration_s=15.0),
             LossyWindow(at=12.0, duration_s=20.0, loss=0.2),
-            CrashWorkerNode(at=30.0, restart_after=10.0),
+            CrashWorkerNode(at=30.0, duration_s=10.0),
         ],
     )
 

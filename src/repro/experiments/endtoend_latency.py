@@ -133,7 +133,7 @@ def _run_arm(distill: bool, n_requests: int, seed: int):
     engine = PlaybackEngine(transend.cluster.env, delivery.submit,
                             rng=streams.stream("e2e-playback"),
                             timeout_s=600.0)
-    transend.cluster.env.process(engine.play(records))
+    engine.play(records)
     transend.run(until=n_requests / 4.0 + 600.0)
     stats = LatencyStats().extend(engine.latencies())
     return stats, delivery.bytes_delivered

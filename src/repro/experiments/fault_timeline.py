@@ -65,7 +65,7 @@ def run_fault_timeline(rate_rps: float = 20.0, seed: int = 1997
                     f"http://bench/img{index}.jpg", "image/jpeg", 10240)
         for index in range(40)
     ]
-    env.process(engine.constant_rate(rate_rps, 120.0, pool))
+    engine.ramp([(120.0, rate_rps)], pool)
 
     def script(env):
         yield env.timeout(20.0)

@@ -75,7 +75,7 @@ def run_figure8(
                     f"http://bench/img{index}.jpg", "image/jpeg", 10240)
         for index in range(50)
     ]
-    env.process(engine.ramp(steps, pool))
+    engine.ramp(steps, pool)
 
     # the manual kills of Figure 8(b)
     def killer(env):

@@ -118,7 +118,7 @@ def _run_arm(label: str, unique_urls: bool, rate_rps: float,
             "image/jpeg", 10240)
         for index in range(n)
     ]
-    env.process(engine.constant_rate(rate_rps, duration_s, pool))
+    engine.ramp([(duration_s, rate_rps)], pool)
 
     samples: List[int] = []
 

@@ -224,7 +224,7 @@ def run_policy_arm(policy: str, n_requests: int, rate_rps: float,
     records = iter_fixed_jpeg_trace(
         rate_rps, n_requests, image_size_bytes=image_bytes, seed=seed)
     started_at = env.now
-    playback = env.process(engine.play(records, time_offset=env.now))
+    playback = engine.play(records, time_offset=env.now)
     fabric.cluster.run(until=playback)
     fabric.cluster.run(until=env.now + 35.0)  # drain in-flight work
 

@@ -88,7 +88,7 @@ def _run_once(bandwidth_bps: float, rate_rps: float, duration_s: float,
                     image_bytes)
         for index in range(50)
     ]
-    env.process(engine.constant_rate(rate_rps, duration_s, pool))
+    engine.ramp([(duration_s, rate_rps)], pool)
     fabric.cluster.run(until=env.now + duration_s + 30.0)
     beacon_group = fabric.cluster.multicast.group(BEACON_GROUP)
     summary = summarize_outcomes(engine.outcomes)

@@ -96,7 +96,7 @@ def run_table2(
                                 timeout_s=60.0)
         n_distillers_at_start = len(
             fabric.alive_workers("jpeg-distiller"))
-        env.process(engine.constant_rate(rate, step_duration_s, pool))
+        engine.ramp([(step_duration_s, rate)], pool)
         # run the step plus drain time
         fabric.cluster.run(until=env.now + step_duration_s)
         completed_rps = len(engine.completed()) / step_duration_s

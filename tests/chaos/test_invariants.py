@@ -117,7 +117,7 @@ def test_final_checks_flag_hangs_and_slow_replies():
         fabric.cluster.env, checker.checked_submit(fabric.submit),
         rng=RandomStreams(3).stream("pb"), timeout_s=10.0)
     pool = [make_record(i) for i in range(5)]
-    fabric.cluster.env.process(engine.constant_rate(5.0, 3.0, pool))
+    engine.ramp([(3.0, 5.0)], pool)
     fabric.cluster.run(until=20.0)
     checker.final_checks(engine, max_latency_s=10.0)
     assert checker.ok

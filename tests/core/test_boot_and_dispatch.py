@@ -59,7 +59,7 @@ def test_requests_balance_across_workers(fabric):
         fabric.cluster.env, fabric.submit,
         rng=RandomStreams(1).stream("pb"))
     pool = [make_record(i) for i in range(20)]
-    fabric.cluster.env.process(engine.constant_rate(30.0, 20.0, pool))
+    engine.ramp([(20.0, 30.0)], pool)
     fabric.cluster.run(until=30.0)
     served = sorted(stub.served for stub in fabric.alive_workers())
     assert sum(served) == len(engine.completed())
@@ -113,7 +113,7 @@ def test_throughput_sustained_under_capacity(fabric):
                             rng=RandomStreams(2).stream("pb"),
                             timeout_s=20.0)
     pool = [make_record(i) for i in range(50)]
-    fabric.cluster.env.process(engine.constant_rate(30.0, 30.0, pool))
+    engine.ramp([(30.0, 30.0)], pool)
     fabric.cluster.run(until=45.0)
     assert len(engine.failed()) == 0
     latencies = sorted(engine.latencies())
@@ -133,7 +133,7 @@ def test_frontend_connection_overhead_limits_throughput():
     engine = PlaybackEngine(fabric.cluster.env, fabric.submit,
                             rng=RandomStreams(3).stream("pb"))
     pool = [make_record(i) for i in range(50)]
-    fabric.cluster.env.process(engine.constant_rate(120.0, 30.0, pool))
+    engine.ramp([(30.0, 120.0)], pool)
     fabric.cluster.run(until=32.0)
     frontend = next(iter(fabric.frontends.values()))
     completed_rate = len(engine.completed()) / 30.0

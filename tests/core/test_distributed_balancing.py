@@ -64,7 +64,7 @@ def test_distributed_balances_load_comparably():
                             rng=RandomStreams(2).stream("pb"),
                             timeout_s=30.0)
     pool = [make_record(i) for i in range(20)]
-    fabric.cluster.env.process(engine.constant_rate(30.0, 20.0, pool))
+    engine.ramp([(20.0, 30.0)], pool)
     fabric.cluster.run(until=50.0)
     served = sorted(stub.served for stub in fabric.alive_workers())
     assert sum(served) == len(engine.completed())

@@ -21,7 +21,7 @@ def drive(fabric, rate=20.0, duration=40.0, seed=1, timeout_s=15.0):
                             rng=RandomStreams(seed).stream("pb"),
                             timeout_s=timeout_s)
     pool = [make_record(i) for i in range(30)]
-    fabric.cluster.env.process(engine.constant_rate(rate, duration, pool))
+    engine.ramp([(duration, rate)], pool)
     return engine
 
 

@@ -89,7 +89,7 @@ def test_weighted_metric_spawns_on_expensive_backlog():
     # service passes expected cost from content size; use many requests
     pool = [TraceRecord(0.0, "c", f"http://x/{i}.jpg", "image/jpeg",
                         10240) for i in range(20)]
-    fabric.cluster.env.process(engine.constant_rate(60.0, 30.0, pool))
+    engine.ramp([(30.0, 60.0)], pool)
     fabric.cluster.run(until=60.0)
     assert fabric.manager.spawns >= 1
     assert len(fabric.alive_workers("test-worker")) >= 2

@@ -58,7 +58,7 @@ def test_faster_node_serves_more():
                             rng=RandomStreams(3).stream("pb"),
                             timeout_s=60.0)
     pool = [make_record(i) for i in range(30)]
-    cluster.env.process(engine.constant_rate(55.0, 40.0, pool))
+    engine.ramp([(40.0, 55.0)], pool)
     fabric.cluster.run(until=80.0)
     by_node = {stub.node.name: stub.served
                for stub in fabric.alive_workers()}

@@ -41,7 +41,7 @@ def test_manager_replaces_partitioned_worker_under_load():
         fabric.cluster.env, fabric.submit,
         rng=RandomStreams(9).stream("pb"), timeout_s=20.0)
     pool = [make_record(i) for i in range(20)]
-    fabric.cluster.env.process(engine.constant_rate(15.0, 40.0, pool))
+    engine.ramp([(40.0, 15.0)], pool)
     victim = fabric.alive_workers()[0]
     injector = FaultInjector(fabric.cluster.env)
     injector.partition_at(10.0, victim, duration_s=20.0)

@@ -14,7 +14,7 @@ def drive(fabric, rate, duration, seed=1):
                             rng=RandomStreams(seed).stream("pb"),
                             timeout_s=30.0)
     pool = [make_record(i) for i in range(30)]
-    fabric.cluster.env.process(engine.constant_rate(rate, duration, pool))
+    engine.ramp([(duration, rate)], pool)
     return engine
 
 

@@ -32,8 +32,7 @@ def run_chaos(seed, mtbf_s=15.0, duration_s=180.0, rate_rps=12.0):
         rng=RandomStreams(seed).stream("chaos-playback"),
         timeout_s=25.0)
     pool = [make_record(i) for i in range(30)]
-    fabric.cluster.env.process(
-        engine.constant_rate(rate_rps, duration_s, pool))
+    engine.ramp([(duration_s, rate_rps)], pool)
 
     injector = FaultInjector(fabric.cluster.env,
                              RandomStreams(seed).stream("chaos-faults"))

@@ -157,7 +157,7 @@ def queue_oscillation(estimate_deltas, seed=11):
                             rng=RandomStreams(seed).stream("pb"),
                             timeout_s=60.0)
     pool = [make_record(i) for i in range(30)]
-    fabric.cluster.env.process(engine.constant_rate(45.0, 60.0, pool))
+    engine.ramp([(60.0, 45.0)], pool)
     # sample each worker's instantaneous queue every 0.5 s
     samples = {stub.name: [] for stub in fabric.alive_workers()}
 

@@ -77,7 +77,7 @@ def test_upgrade_single_worker_node_respawns_elsewhere():
                             rng=RandomStreams(1).stream("pb"),
                             timeout_s=15.0)
     pool = [make_record(i) for i in range(20)]
-    fabric.cluster.env.process(engine.constant_rate(15.0, 30.0, pool))
+    engine.ramp([(30.0, 15.0)], pool)
     fabric.cluster.env.process(upgrade.upgrade_node(victim_node))
     fabric.cluster.run(until=50.0)
     assert victim_node.up
@@ -96,7 +96,7 @@ def test_rolling_upgrade_whole_cluster_keeps_service_up():
                             rng=RandomStreams(2).stream("pb"),
                             timeout_s=20.0)
     pool = [make_record(i) for i in range(20)]
-    fabric.cluster.env.process(engine.constant_rate(10.0, 150.0, pool))
+    engine.ramp([(150.0, 10.0)], pool)
     upgrade = HotUpgrade(fabric, hold_s=3.0, settle_s=8.0)
     fabric.cluster.env.process(upgrade.rolling())
     fabric.cluster.run(until=220.0)

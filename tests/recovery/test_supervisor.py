@@ -35,8 +35,8 @@ def drive_traffic(fabric, rate_rps, duration_s, timeout_s=10.0):
         rng=RandomStreams(fabric.cluster.streams.master_seed).stream(
             "test:playback"),
         timeout_s=timeout_s)
-    env.process(engine.constant_rate(
-        rate_rps, duration_s, [make_record(i) for i in range(10)]))
+    engine.ramp([(duration_s, rate_rps)],
+                [make_record(i) for i in range(10)])
     return engine
 
 

@@ -187,7 +187,7 @@ def test_trace_driven_run_accumulates_sane_stats():
                client=f"client{index % 5}", t=float(index))
         for index in range(40)
     ]
-    transend.cluster.env.process(engine.constant_rate(4.0, 30.0, pool))
+    engine.ramp([(30.0, 4.0)], pool)
     transend.run(until=120.0)
     assert len(engine.completed()) == len(engine.outcomes)
     stats = transend.stats()

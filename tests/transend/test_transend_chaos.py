@@ -29,7 +29,7 @@ def test_transend_survives_mixed_component_chaos():
     engine = PlaybackEngine(env, transend.submit,
                             rng=RandomStreams(5).stream("chaos"),
                             timeout_s=90.0)
-    env.process(engine.play(trace))
+    engine.play(trace)
 
     def saboteur(env):
         rng = RandomStreams(77).stream("saboteur")

@@ -42,7 +42,7 @@ def test_faithful_playback_preserves_spacing():
     service = MockService(env)
     engine = PlaybackEngine(env, service.submit)
     trace = records_at([100.0, 100.5, 102.0])
-    env.process(engine.play(trace))
+    engine.play(trace)
     env.run()
     submit_times = [t for t, _ in service.received]
     assert submit_times == pytest.approx([0.0, 0.5, 2.0])
@@ -54,7 +54,7 @@ def test_playback_with_offset():
     env = Environment()
     service = MockService(env)
     engine = PlaybackEngine(env, service.submit)
-    env.process(engine.play(records_at([0.0, 1.0]), time_offset=10.0))
+    engine.play(records_at([0.0, 1.0]), time_offset=10.0)
     env.run()
     assert [t for t, _ in service.received] == pytest.approx([10.0, 11.0])
 
@@ -65,7 +65,7 @@ def test_constant_rate_mode_hits_requested_rate():
     rng = RandomStreams(5).stream("playback")
     engine = PlaybackEngine(env, service.submit, rng=rng)
     pool = records_at([0.0])
-    env.process(engine.constant_rate(50.0, 60.0, pool))
+    engine.ramp([(60.0, 50.0)], pool)
     env.run()
     assert len(service.received) / 60.0 == pytest.approx(50.0, rel=0.15)
 
@@ -74,7 +74,7 @@ def test_constant_rate_requires_rng():
     env = Environment()
     engine = PlaybackEngine(env, MockService(env).submit)
     with pytest.raises(ValueError):
-        next(engine.constant_rate(10.0, 1.0, records_at([0.0])))
+        engine.ramp([(1.0, 10.0)], records_at([0.0]))
 
 
 def test_ramp_mode_changes_rate_per_step():
@@ -83,7 +83,7 @@ def test_ramp_mode_changes_rate_per_step():
     rng = RandomStreams(5).stream("playback")
     engine = PlaybackEngine(env, service.submit, rng=rng)
     pool = records_at([0.0])
-    env.process(engine.ramp([(30.0, 5.0), (30.0, 40.0)], pool))
+    engine.ramp([(30.0, 5.0), (30.0, 40.0)], pool)
     env.run()
     first_half = sum(1 for t, _ in service.received if t < 30.0)
     second_half = sum(1 for t, _ in service.received if t >= 30.0)
@@ -95,7 +95,7 @@ def test_ramp_zero_rate_pauses():
     service = MockService(env)
     rng = RandomStreams(5).stream("playback")
     engine = PlaybackEngine(env, service.submit, rng=rng)
-    env.process(engine.ramp([(10.0, 0.0), (10.0, 10.0)], records_at([0.0])))
+    engine.ramp([(10.0, 0.0), (10.0, 10.0)], records_at([0.0]))
     env.run()
     assert all(t >= 10.0 for t, _ in service.received)
 
@@ -104,7 +104,7 @@ def test_adapter_exception_recorded_as_failure():
     env = Environment()
     service = MockService(env, fail_urls={"http://x/0.gif"})
     engine = PlaybackEngine(env, service.submit)
-    env.process(engine.play(records_at([0.0, 1.0])))
+    engine.play(records_at([0.0, 1.0]))
     env.run()
     assert len(engine.failed()) == 1
     assert "service refused" in engine.failed()[0].error
@@ -115,7 +115,7 @@ def test_timeout_marks_request_failed():
     env = Environment()
     service = MockService(env, service_time=10.0)
     engine = PlaybackEngine(env, service.submit, timeout_s=1.0)
-    env.process(engine.play(records_at([0.0])))
+    engine.play(records_at([0.0]))
     env.run()
     assert len(engine.failed()) == 1
     assert engine.failed()[0].error == "timeout"
@@ -125,7 +125,7 @@ def test_in_flight_tracking():
     env = Environment()
     service = MockService(env, service_time=5.0)
     engine = PlaybackEngine(env, service.submit)
-    env.process(engine.play(records_at([0.0, 0.1, 0.2])))
+    engine.play(records_at([0.0, 0.1, 0.2]))
     env.run()
     assert engine.max_in_flight == 3
     assert engine.in_flight == 0
@@ -135,7 +135,7 @@ def test_throughput_window():
     env = Environment()
     service = MockService(env, service_time=0.0)
     engine = PlaybackEngine(env, service.submit)
-    env.process(engine.play(records_at([0.0, 1.0, 2.0, 3.0])))
+    engine.play(records_at([0.0, 1.0, 2.0, 3.0]))
     env.run(until=100.0)
     # all 4 completed by t=3; window of last 50 s covers them
     assert engine.throughput(100.0) == pytest.approx(4 / 100.0)
@@ -143,26 +143,19 @@ def test_throughput_window():
         engine.throughput(0.0)
 
 
-def test_play_scheduled_matches_play_aligned():
-    """The callback-driven pump submits the same records at the same
-    simulated times as the process-based absolute-clock player."""
-    trace = records_at([10.0, 10.4, 12.0, 15.5])
-    received = {}
-    for mode in ("aligned", "scheduled"):
-        env = Environment()
-        service = MockService(env, service_time=0.1)
-        engine = PlaybackEngine(env, service.submit)
-        if mode == "aligned":
-            env.process(engine.play_aligned(trace, clock_origin=10.0))
-        else:
-            engine.play_scheduled(trace, clock_origin=10.0)
-        env.run()
-        received[mode] = [(t, record.url)
-                          for t, record in service.received]
-        assert engine.stats.completed == 4
-    assert received["scheduled"] == received["aligned"]
-    assert [t for t, _ in received["scheduled"]] \
-        == pytest.approx([0.0, 0.4, 2.0, 5.5])
+def test_playback_event_fires_when_the_source_runs_out():
+    env = Environment()
+    service = MockService(env, service_time=5.0)
+    engine = PlaybackEngine(env, service.submit)
+    env.run(until=engine.play(records_at([100.0, 101.0, 102.5])))
+    assert env.now == 2.5
+    assert engine.stats.submitted == 3
+    assert engine.in_flight == 3
+    # a rate schedule ends at its last step's end, arrival or not
+    engine.rng = RandomStreams(5).stream("playback")
+    env.run(until=engine.ramp([(1.0, 2.0), (3.0, 0.0)],
+                              records_at([0.0])))
+    assert env.now == 2.5 + 1.0 + 3.0
 
 
 def test_play_scheduled_past_due_records_submit_immediately():
@@ -187,7 +180,7 @@ def test_throughput_modes_agree():
         service = MockService(env, service_time=0.0)
         engine = PlaybackEngine(env, service.submit,
                                 record_outcomes=record_outcomes)
-        env.process(engine.play(records_at(times)))
+        engine.play(records_at(times))
         env.run(until=12.0)
         results[record_outcomes] = [engine.throughput(w)
                                     for w in (1.5, 5.0, 12.0)]
@@ -201,7 +194,7 @@ def test_throughput_ring_wrap_raises_instead_of_undercounting():
     service = MockService(env, service_time=0.0)
     engine = PlaybackEngine(env, service.submit,
                             record_outcomes=False, throughput_ring=2)
-    env.process(engine.play(records_at([0.0, 1.0, 2.0, 3.0])))
+    engine.play(records_at([0.0, 1.0, 2.0, 3.0]))
     env.run(until=4.0)
     # ring holds completions at t=2 and t=3 only; a 1.5 s window
     # (horizon 2.5) is fully covered...
@@ -217,7 +210,7 @@ def test_throughput_zero_ring_raises_in_bounded_mode():
     service = MockService(env, service_time=0.0)
     engine = PlaybackEngine(env, service.submit,
                             record_outcomes=False, throughput_ring=0)
-    env.process(engine.play(records_at([0.0])))
+    engine.play(records_at([0.0]))
     env.run(until=1.0)
     with pytest.raises(ValueError, match="throughput_ring=0"):
         engine.throughput(1.0)
@@ -232,7 +225,7 @@ def test_bounded_mode_stats_match_recorded_mode():
                               fail_urls={"http://x/1.gif"})
         engine = PlaybackEngine(env, service.submit,
                                 record_outcomes=record_outcomes)
-        env.process(engine.play(records_at(times)))
+        engine.play(records_at(times))
         env.run()
         stats[record_outcomes] = engine.stats
     for mode in (True, False):
@@ -244,7 +237,7 @@ def test_bounded_mode_stats_match_recorded_mode():
     env = Environment()
     engine = PlaybackEngine(env, MockService(env).submit,
                             record_outcomes=False)
-    env.process(engine.play(records_at([0.0])))
+    engine.play(records_at([0.0]))
     env.run()
     assert engine.outcomes == []
 
@@ -292,16 +285,15 @@ class PinService:
 def _start(engine, mode):
     trace = records_at(PIN_TIMES)
     if mode == "play":
-        engine.env.process(engine.play(trace))
+        engine.play(trace)
     elif mode == "play-offset":
-        engine.env.process(engine.play(trace, time_offset=10.0))
+        engine.play(trace, time_offset=10.0)
     elif mode == "play-scheduled":
         engine.play_scheduled(trace, clock_origin=101.0)
     elif mode == "constant-rate":
-        engine.env.process(engine.constant_rate(3.0, 4.0, trace))
+        engine.ramp([(4.0, 3.0)], trace)
     elif mode == "ramp":
-        engine.env.process(engine.ramp(
-            [(1.5, 4.0), (1.0, 0.0), (2.0, 6.0)], trace))
+        engine.ramp([(1.5, 4.0), (1.0, 0.0), (2.0, 6.0)], trace)
 
 
 def _pin_digest(mode, timeout_s, record_outcomes, traced=False):

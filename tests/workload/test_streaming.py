@@ -74,7 +74,7 @@ def _replay(records_factory, record_outcomes=True):
     env = Environment()
     engine = PlaybackEngine(env, _echo_adapter(env),
                             record_outcomes=record_outcomes)
-    env.process(engine.play(records_factory()))
+    engine.play(records_factory())
     env.run()
     return env, engine
 
@@ -123,7 +123,7 @@ def test_streaming_replay_memory_stays_bounded():
     trace = iter_fixed_jpeg_trace(rate_rps=500.0, n_requests=n_requests,
                                   seed=5)
     tracemalloc.start()
-    env.process(engine.play(trace))
+    engine.play(trace)
     env.run()
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
@@ -144,7 +144,7 @@ def test_playback_stats_failure_accounting():
 
     records = fixed_jpeg_trace(rate_rps=30.0, duration_s=5.0, seed=9)
     engine = PlaybackEngine(env, flaky, record_outcomes=False)
-    env.process(engine.play(iter(records)))
+    engine.play(iter(records))
     env.run()
     expected_failures = sum(
         1 for record in records if record.url.endswith("img0.jpg"))
