@@ -223,22 +223,3 @@ def yield_recovery_time(series: Sequence[Dict[str, float]],
         elif candidate is None:
             candidate = max(0.0, row["start"] - heal_time)
     return candidate
-
-
-def throughput_series(completion_times: Sequence[float],
-                      bucket_s: float) -> List[Tuple[float, float]]:
-    """(bucket start, completions/sec) over the span of completions."""
-    if bucket_s <= 0:
-        raise ValueError("bucket width must be positive")
-    if not completion_times:
-        return []
-    start = min(completion_times)
-    end = max(completion_times)
-    n_buckets = int((end - start) / bucket_s) + 1
-    counts = [0] * n_buckets
-    for time in completion_times:
-        counts[int((time - start) / bucket_s)] += 1
-    return [
-        (start + index * bucket_s, count / bucket_s)
-        for index, count in enumerate(counts)
-    ]

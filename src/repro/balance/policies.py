@@ -28,9 +28,10 @@ the SAN: the stub already observes every submit, reply, and timeout.
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_right
 from typing import Any, Dict, List, Optional, Sequence, Tuple
+
+from repro.cache.partition import ConsistentHashRing
 
 
 class PolicyError(ValueError):
@@ -344,14 +345,16 @@ def _spawn_order(worker_name: str) -> Tuple[int, str]:
 class BoundedLoadHashPolicy(_OutstandingTracker):
     """Consistent hashing with bounded loads (Mirrokni et al.).
 
-    Requests hash by content key onto a ring of virtual nodes, giving
-    cache affinity: the same URL keeps landing on the same worker, so
-    its working set stays hot.  The "bounded loads" part keeps affinity
-    from defeating balance: a worker already carrying more than
-    ``ceil(bound_factor × mean outstanding)`` in-flight requests is
+    Requests hash by content key onto a
+    :class:`~repro.cache.partition.ConsistentHashRing` of the candidate
+    workers, giving cache affinity: the same URL keeps landing on the
+    same worker, so its working set stays hot.  The "bounded loads"
+    part keeps affinity from defeating balance: a worker whose
+    in-flight count plus the request being placed would exceed
+    ``max(1, bound_factor × (total outstanding + 1) / workers)`` is
     skipped and the request walks clockwise to the next admissible
-    worker.  Hashes are md5-based — stable across processes and runs,
-    unlike Python's seeded ``hash``.  No RNG draws.
+    worker; if every worker is full, the key's home takes it.  No RNG
+    draws.
     """
 
     name = "hash-bounded"
@@ -361,23 +364,9 @@ class BoundedLoadHashPolicy(_OutstandingTracker):
         super().__init__()
         self.bound_factor = config.policy_hash_bound
         self.replicas = config.policy_hash_replicas
-        self._ring: List[Tuple[int, str]] = []
+        self._ring = ConsistentHashRing((), self.replicas)
         self._ring_members: frozenset = frozenset()
         self.overflow_hops = 0
-
-    @staticmethod
-    def _hash(value: str) -> int:
-        return int.from_bytes(
-            hashlib.md5(value.encode()).digest()[:8], "big")
-
-    def _rebuild(self, names: frozenset) -> None:
-        ring = []
-        for name in names:
-            for replica in range(self.replicas):
-                ring.append((self._hash(f"{name}#{replica}"), name))
-        ring.sort()
-        self._ring = ring
-        self._ring_members = names
 
     def select(self, candidates: Sequence[Any], now: float,
                key: Optional[str] = None) -> Any:
@@ -385,27 +374,21 @@ class BoundedLoadHashPolicy(_OutstandingTracker):
                    for state in candidates}
         names = frozenset(by_name)
         if names != self._ring_members:
-            self._rebuild(names)
+            self._ring = ConsistentHashRing(sorted(names), self.replicas)
+            self._ring_members = names
         total = sum(self.outstanding.get(name, 0) for name in names)
         # each worker may carry at most bound_factor x the fair share of
         # in-flight requests (counting the one about to be placed)
         bound = max(1.0, self.bound_factor * (total + 1) / len(names))
-        point = self._hash(key if key is not None else "")
-        start = bisect_right(self._ring, (point, ""))
-        chosen = None
-        seen = set()
-        for offset in range(len(self._ring)):
-            _, name = self._ring[(start + offset) % len(self._ring)]
-            if name in seen:
-                continue
-            seen.add(name)
-            if chosen is None:
-                chosen = name  # ring-order fallback if all are full
+        home = None
+        for name in self._ring.walk(key if key is not None else ""):
             if self.outstanding.get(name, 0) + 1 <= bound:
-                if offset > 0 and name != chosen:
+                if home is not None:
                     self.overflow_hops += 1
                 return by_name[name]
-        return by_name[chosen]
+            if home is None:
+                home = name  # ring-order fallback if all are full
+        return by_name[home]
 
     def stats(self) -> Dict[str, Any]:
         out = super().stats()

@@ -1,4 +1,4 @@
-"""Key-space partitioners for the virtual cache.
+"""Key placement: the one stable hash and the partitioners built on it.
 
 The paper's manager stub "can manage a number of separate cache nodes as
 a single virtual cache, hashing the key space across the separate caches
@@ -10,14 +10,19 @@ and automatically re-hashing when cache nodes are added or removed"
   membership change).
 * :class:`ConsistentHashRing` — the modern refinement; only ~1/N of keys
   move on a membership change.  Offered as an ablation: the benchmark
-  suite compares post-rehash hit-rate dips under both.
+  suite compares post-rehash hit-rate dips under both.  Its
+  :meth:`~ConsistentHashRing.walk` also serves the bounded-load routing
+  policy (:class:`repro.balance.BoundedLoadHashPolicy`).
+
+:func:`stable_hash` is the only hash placement uses anywhere: DStore's
+:class:`repro.dstore.Partitioner` maps keys to partitions with it too.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-from typing import List, Sequence
+from typing import Iterator, List, Sequence
 
 
 def stable_hash(value: str) -> int:
@@ -31,46 +36,12 @@ class PartitionError(Exception):
     """Membership errors (no nodes, duplicate add, unknown remove)."""
 
 
-class ModHashPartitioner:
-    """hash(key) mod N over an ordered node list."""
+class _Membership:
+    """An ordered set of node names, shared by both partitioners:
+    adding a present node or removing an absent one raises
+    :class:`PartitionError`."""
 
     def __init__(self, nodes: Sequence[str] = ()) -> None:
-        self._nodes: List[str] = list(nodes)
-
-    @property
-    def nodes(self) -> List[str]:
-        return list(self._nodes)
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def add_node(self, node: str) -> None:
-        if node in self._nodes:
-            raise PartitionError(f"node {node!r} already present")
-        self._nodes.append(node)
-
-    def remove_node(self, node: str) -> None:
-        try:
-            self._nodes.remove(node)
-        except ValueError:
-            raise PartitionError(f"node {node!r} not present") from None
-
-    def locate(self, key: str) -> str:
-        if not self._nodes:
-            raise PartitionError("no nodes in partition")
-        return self._nodes[stable_hash(key) % len(self._nodes)]
-
-
-class ConsistentHashRing:
-    """Consistent hashing with virtual nodes."""
-
-    def __init__(self, nodes: Sequence[str] = (),
-                 replicas: int = 64) -> None:
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        self.replicas = replicas
-        self._ring: List[int] = []
-        self._owners: dict = {}
         self._nodes: List[str] = []
         for node in nodes:
             self.add_node(node)
@@ -86,16 +57,43 @@ class ConsistentHashRing:
         if node in self._nodes:
             raise PartitionError(f"node {node!r} already present")
         self._nodes.append(node)
-        for replica in range(self.replicas):
-            point = stable_hash(f"{node}#{replica}")
-            index = bisect.bisect(self._ring, point)
-            self._ring.insert(index, point)
-            self._owners[point] = node
 
     def remove_node(self, node: str) -> None:
         if node not in self._nodes:
             raise PartitionError(f"node {node!r} not present")
         self._nodes.remove(node)
+
+
+class ModHashPartitioner(_Membership):
+    """hash(key) mod N over an ordered node list."""
+
+    def locate(self, key: str) -> str:
+        if not self._nodes:
+            raise PartitionError("no nodes in partition")
+        return self._nodes[stable_hash(key) % len(self._nodes)]
+
+
+class ConsistentHashRing(_Membership):
+    """Consistent hashing with virtual nodes."""
+
+    def __init__(self, nodes: Sequence[str] = (),
+                 replicas: int = 64) -> None:
+        if replicas < 1:
+            raise ValueError("replicas must be >= 1")
+        self.replicas = replicas
+        self._ring: List[int] = []
+        self._owners: dict = {}
+        super().__init__(nodes)
+
+    def add_node(self, node: str) -> None:
+        super().add_node(node)
+        for replica in range(self.replicas):
+            point = stable_hash(f"{node}#{replica}")
+            bisect.insort(self._ring, point)
+            self._owners[point] = node
+
+    def remove_node(self, node: str) -> None:
+        super().remove_node(node)
         for replica in range(self.replicas):
             point = stable_hash(f"{node}#{replica}")
             index = bisect.bisect_left(self._ring, point)
@@ -111,6 +109,22 @@ class ConsistentHashRing:
         if index == len(self._ring):
             index = 0
         return self._owners[self._ring[index]]
+
+    def walk(self, key: str) -> Iterator[str]:
+        """Every node once, in clockwise ring order from ``key``'s
+        point; the first is the one :meth:`locate` returns."""
+        if not self._ring:
+            raise PartitionError("no nodes in partition")
+        ring, owners = self._ring, self._owners
+        start = bisect.bisect(ring, stable_hash(key))
+        seen = set()
+        for index in range(start, start + len(ring)):
+            owner = owners[ring[index % len(ring)]]
+            if owner not in seen:
+                seen.add(owner)
+                yield owner
+                if len(seen) == len(self._nodes):
+                    return
 
 
 def remap_fraction(partitioner_factory, keys: Sequence[str],

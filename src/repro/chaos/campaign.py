@@ -512,8 +512,6 @@ class Campaign:
     #: the CLI's ``--policy`` switch).  None keeps the config default
     #: (the paper's lottery), under either manager backend.
     routing_policy: Optional[str] = None
-    n_bricks: int = 3
-    brick_replicas: int = 2
     #: period of the deterministic profile-writer client (only runs
     #: when a backend is configured).
     profile_write_interval_s: float = 1.0
@@ -614,8 +612,6 @@ class CampaignRunner:
             n_nodes=campaign.n_nodes, seed=seed,
             config=chaos_config(**campaign.config_overrides),
             profile_backend=campaign.profile_backend,
-            n_bricks=campaign.n_bricks,
-            brick_replicas=campaign.brick_replicas,
             manager_backend=campaign.manager_backend,
             routing_policy=campaign.routing_policy,
             service_backend=campaign.service_backend)
@@ -995,8 +991,6 @@ def _brick_failures() -> Campaign:
         settle_s=25.0,
         recovery=RecoveryPolicy(),
         profile_backend="dstore",
-        n_bricks=3,
-        brick_replicas=2,
         profile_write_interval_s=0.8,
         profile_read_slo=0.99,
     )
@@ -1022,8 +1016,6 @@ def _brick_smoke() -> Campaign:
         settle_s=20.0,
         recovery=RecoveryPolicy(),
         profile_backend="dstore",
-        n_bricks=3,
-        brick_replicas=2,
         profile_write_interval_s=0.8,
         profile_read_slo=0.99,
     )

@@ -393,7 +393,7 @@ def build_report(campaign: Any, seed: int, fabric: Any, engine: Any,
         recovery_cases = list(ledger.cases)
         # brick campaigns widen the availability denominator: the
         # population under fault is workers plus bricks
-        n_bricks = (campaign.n_bricks
+        n_bricks = (fabric.profile_bricks.n_bricks
                     if getattr(campaign, "profile_backend", None)
                     == "dstore" else 0)
         recovery_summary = ledger.summary(

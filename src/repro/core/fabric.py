@@ -28,6 +28,9 @@ from repro.sim.network import MBPS
 from repro.sim.node import Node
 from repro.tacc.registry import WorkerRegistry
 
+#: each front end's own access link to the clients.
+FRONTEND_LINK_BANDWIDTH_BPS = 100 * MBPS
+
 
 class FabricError(Exception):
     """Assembly errors: no nodes, unknown types, double boot."""
@@ -43,7 +46,6 @@ class SNSFabric:
         config: SNSConfig,
         service: Any,
         execute_real: bool = False,
-        frontend_link_bandwidth_bps: float = 100 * MBPS,
         manager_backend: str = "soft",
     ) -> None:
         if manager_backend not in ("soft", "consensus"):
@@ -54,7 +56,6 @@ class SNSFabric:
         self.config = config.validate()
         self.service = service
         self.execute_real = execute_real
-        self.frontend_link_bandwidth_bps = frontend_link_bandwidth_bps
         #: "soft" = the paper's single soft-state manager; "consensus" =
         #: three Paxos-replicated manager replicas with a leader lease.
         self.manager_backend = manager_backend
@@ -266,7 +267,7 @@ class SNSFabric:
         link = self.cluster.network.access_links.get(link_name)
         if link is None:
             link = self.cluster.add_access_link(
-                link_name, self.frontend_link_bandwidth_bps)
+                link_name, FRONTEND_LINK_BANDWIDTH_BPS)
         frontend = FrontEnd(self.cluster, node, name, self.config,
                             self.service, self, access_link=link)
         frontend.start()

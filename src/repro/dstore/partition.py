@@ -8,16 +8,18 @@ restarts occupies the same slot, so placement never moves data around —
 exactly the property that makes recovery cheap (the rejoining brick
 knows which partitions it owns before it holds a single byte of them).
 
-The hash is :func:`hashlib.md5` over the key bytes, **not** Python's
-builtin ``hash``: the builtin is salted per process, and partition
-placement must be identical across the fan-out runner's worker
-processes for ``--jobs N`` output to stay byte-identical to serial.
+The hash is :func:`repro.cache.partition.stable_hash` (md5 over the
+key bytes), **not** Python's builtin ``hash``: the builtin is salted per
+process, and partition placement must be identical across the fan-out
+runner's worker processes for ``--jobs N`` output to stay byte-identical
+to serial.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import List
+
+from repro.cache.partition import stable_hash
 
 
 class Partitioner:
@@ -36,8 +38,7 @@ class Partitioner:
         self.n_partitions = n_partitions
 
     def partition_of(self, key: str) -> int:
-        digest = hashlib.md5(key.encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") % self.n_partitions
+        return stable_hash(key) % self.n_partitions
 
     def slots_of(self, partition: int) -> List[int]:
         """The replica slots hosting ``partition``, preference order."""

@@ -177,11 +177,7 @@ def build_bench_fabric(
     seed: int = 1997,
     config: Optional[SNSConfig] = None,
     san_bandwidth_bps: float = 100 * MBPS,
-    frontend_link_bandwidth_bps: float = 100 * MBPS,
     profile_backend: Optional[str] = None,
-    n_bricks: int = 3,
-    brick_replicas: int = 2,
-    brick_ledger: Any = None,
     manager_backend: Optional[str] = None,
     routing_policy: Optional[str] = None,
     service_backend: Optional[str] = None,
@@ -199,8 +195,8 @@ def build_bench_fabric(
       benchmarks' shape, byte-identical to before this option existed);
     * ``"single"`` — the paper's §2.3 layout: one in-memory ACID
       :class:`~repro.tacc.customization.ProfileStore`;
-    * ``"dstore"`` — the replicated brick store (``n_bricks`` /
-      ``brick_replicas``), hung off the fabric as
+    * ``"dstore"`` — the replicated brick store (three bricks, two
+      replicas per partition), hung off the fabric as
       ``fabric.profile_bricks`` for chaos and supervision to reach.
 
     ``service_backend`` selects the service layer: ``None`` keeps the
@@ -234,9 +230,7 @@ def build_bench_fabric(
         bricks = None
     elif profile_backend == "dstore":
         from repro.dstore import BrickCluster, ReplicatedProfileStore
-        bricks = BrickCluster(cluster, n_bricks=n_bricks,
-                              replicas=brick_replicas,
-                              ledger=brick_ledger).boot()
+        bricks = BrickCluster(cluster).boot()
         store = ReplicatedProfileStore(bricks)
     else:
         raise ValueError(f"unknown profile backend {profile_backend!r}")
@@ -250,7 +244,6 @@ def build_bench_fabric(
         raise ValueError(f"unknown service backend {service_backend!r}")
     fabric = SNSFabric(
         cluster, registry, config, service,
-        frontend_link_bandwidth_bps=frontend_link_bandwidth_bps,
         manager_backend=manager_backend or "soft")
     fabric.profile_store = store
     fabric.profile_bricks = bricks

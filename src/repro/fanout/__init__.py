@@ -28,7 +28,6 @@ from repro.fanout.shard import (
     ShardSpec,
     SweepResult,
     shard_seed,
-    specs_for_seeds,
 )
 from repro.fanout.timeshard import (
     DriftReport,
@@ -57,7 +56,6 @@ __all__ = [
     "replay_sharded",
     "run_sharded",
     "shard_seed",
-    "specs_for_seeds",
     "sum_counters",
     "window_edges",
 ]

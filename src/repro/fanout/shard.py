@@ -19,7 +19,7 @@ worker process ran it or in what order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.sim.rng import derive_seed
 
@@ -132,21 +132,3 @@ class SweepResult:
     def ok_values(self) -> List[Any]:
         """Values of the shards that completed, in spec order."""
         return [result.value for result in self.results if result.ok]
-
-
-def specs_for_seeds(fn: Callable[..., Any], name: str, master_seed: int,
-                    seeds: Sequence[int], *, seed_kwarg: str = "seed",
-                    args: Tuple[Any, ...] = (),
-                    kwargs: Optional[Dict[str, Any]] = None
-                    ) -> List[ShardSpec]:
-    """Specs for a multi-seed run of the same unit (benchmark seeds,
-    campaign repetitions): one shard per seed, id ``name#k:seed``."""
-    base = dict(kwargs or {})
-    specs = []
-    for index, seed in enumerate(seeds):
-        shard_kwargs = dict(base)
-        shard_kwargs[seed_kwarg] = seed
-        specs.append(ShardSpec(
-            shard_id=f"{name}#{index}:seed={seed}",
-            fn=fn, args=args, kwargs=shard_kwargs))
-    return specs

@@ -15,7 +15,6 @@ layer schedules across the simulated cluster.
 from repro.tacc.content import (
     Content,
     ZeroPayload,
-    guess_mime,
     zero_payload,
 )
 from repro.tacc.worker import (
@@ -58,6 +57,5 @@ __all__ = [
     "WriteThroughCache",
     "ZeroPayload",
     "check_worker",
-    "guess_mime",
     "zero_payload",
 ]

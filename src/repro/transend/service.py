@@ -294,8 +294,6 @@ class TranSend:
         internet_bandwidth_bps: float = 10 * MBPS,
         profile_log_path: Optional[str] = None,
         profile_backend: str = "single",
-        n_bricks: int = 3,
-        brick_replicas: int = 2,
         adaptive: bool = False,
     ) -> None:
         self.config = (config or SNSConfig()).validate()
@@ -324,9 +322,7 @@ class TranSend:
                                  "profile_log_path only applies to "
                                  "profile_backend='single'")
             from repro.dstore import BrickCluster, ReplicatedProfileStore
-            self.profile_bricks = BrickCluster(
-                self.cluster, n_bricks=n_bricks,
-                replicas=brick_replicas).boot()
+            self.profile_bricks = BrickCluster(self.cluster).boot()
             self.profile_store = ReplicatedProfileStore(
                 self.profile_bricks, validator=preference_validator)
         else:

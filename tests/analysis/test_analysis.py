@@ -6,7 +6,6 @@ from repro.analysis.economics import EconomicModel
 from repro.analysis.metrics import (
     LatencyStats,
     summarize_outcomes,
-    throughput_series,
 )
 from repro.analysis.reporting import (
     render_histogram,
@@ -113,15 +112,6 @@ def test_summarize_outcomes():
     assert summary["failed"] == 1
     assert summary["success_rate"] == pytest.approx(2 / 3)
     assert summary["mean"] == pytest.approx(0.2)
-
-
-def test_throughput_series_buckets():
-    series = throughput_series([0.1, 0.2, 1.5, 2.7], bucket_s=1.0)
-    assert len(series) == 3
-    assert series[0][1] == pytest.approx(2.0)
-    assert throughput_series([], 1.0) == []
-    with pytest.raises(ValueError):
-        throughput_series([1.0], 0.0)
 
 
 # -- economics --------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Tests for partitioners, the virtual cache, and the latency model."""
+"""Tests for the partitioners, the virtual cache's re-hash, and the
+latency model."""
 
 import pytest
 from hypothesis import given, settings
@@ -12,8 +13,10 @@ from repro.cache.partition import (
     remap_fraction,
     stable_hash,
 )
-from repro.cache.virtual_cache import VirtualCache
+from repro.sim.cluster import Cluster
 from repro.sim.rng import RandomStreams
+from repro.tacc.content import MIME_JPEG, Content
+from repro.transend.cachesys import CacheSubsystem
 
 
 KEYS = [f"http://host{i}/path{i}.gif" for i in range(2000)]
@@ -38,6 +41,8 @@ def test_locate_is_deterministic_and_in_membership(factory):
 
 @pytest.mark.parametrize("factory", [ModHashPartitioner, ConsistentHashRing])
 def test_membership_errors(factory):
+    with pytest.raises(PartitionError):
+        factory(["a", "a"])
     partitioner = factory(["a"])
     with pytest.raises(PartitionError):
         partitioner.add_node("a")
@@ -73,54 +78,26 @@ def test_consistent_hashing_moves_far_fewer_keys_than_mod_hash():
 
 # -- virtual cache ----------------------------------------------------------------
 
-def test_virtual_cache_put_get_routes_consistently():
-    vcache = VirtualCache(node_capacity_bytes=10_000, nodes=NODES[:4])
-    node = vcache.put("key1", "value1", 100)
-    assert node in NODES[:4]
-    assert vcache.get("key1") == "value1"
-    assert vcache.hit_rate == 1.0
-
-
 def test_virtual_cache_membership_change_loses_stranded_entries():
-    vcache = VirtualCache(node_capacity_bytes=100_000, nodes=["c0", "c1"])
-    for key in KEYS[:200]:
-        vcache.put(key, key, 100)
-    hits_before = sum(
-        1 for key in KEYS[:200] if vcache.get(key) is not None)
-    assert hits_before == 200
-    vcache.add_node("c2")  # mod-hash: most keys remap
-    hits_after = sum(
-        1 for key in KEYS[:200] if vcache.get(key) is not None)
-    assert hits_after < hits_before * 0.7
+    """TranSend's virtual cache re-hashes by mod-hash when a cache node
+    joins: most stored keys now route to a node that does not hold
+    them."""
+    cluster = Cluster(seed=4)
+    cachesys = CacheSubsystem(cluster)
+    for index in range(2):
+        cachesys.add_node(cluster.add_node(f"c{index}"), 1_000_000)
+    keys = KEYS[:200]
+    for key in keys:
+        cachesys.store(key, Content(key, MIME_JPEG, b"j" * 100))
+    cluster.env.run(until=1.0)  # let the injections land
 
+    def reachable():
+        return sum(1 for key in keys
+                   if cachesys.node_for(key).store.peek(key) is not None)
 
-def test_virtual_cache_remove_node_drops_its_contents():
-    vcache = VirtualCache(node_capacity_bytes=100_000, nodes=["c0", "c1"])
-    for key in KEYS[:100]:
-        vcache.put(key, key, 10)
-    dropped = vcache.remove_node("c1")
-    assert dropped > 0
-    assert vcache.nodes == ["c0"]
-    # every key now routes to c0
-    assert vcache.store_for("anything")[0] == "c0"
-
-
-def test_virtual_cache_aggregate_stats():
-    vcache = VirtualCache(node_capacity_bytes=1000, nodes=["c0", "c1"])
-    vcache.put("a", 1, 100)
-    stats = vcache.node_stats()
-    assert set(stats) == {"c0", "c1"}
-    assert vcache.used_bytes == 100
-    assert vcache.capacity_bytes == 2000
-    vcache.flush()
-    assert vcache.used_bytes == 0
-
-
-def test_virtual_cache_invalidate():
-    vcache = VirtualCache(node_capacity_bytes=1000, nodes=["c0"])
-    vcache.put("a", 1, 10)
-    assert vcache.invalidate("a") is True
-    assert vcache.invalidate("a") is False
+    assert reachable() == len(keys)
+    cachesys.add_node(cluster.add_node("c2"), 1_000_000)
+    assert reachable() < len(keys) * 0.7
 
 
 # -- latency model ---------------------------------------------------------------

@@ -7,6 +7,7 @@ from repro.chaos import (
     CAMPAIGNS,
     Campaign,
     CampaignRunner,
+    KillFrontEnd,
     KillWorker,
     LossyWindow,
     get_campaign,
@@ -69,6 +70,19 @@ def test_mixed_campaign_acceptance():
     assert report.recovered
     assert report.recovery_beacon_periods <= 5.0
     assert report.convergence_s is not None
+
+
+@pytest.mark.parametrize("backend", ["soft", "consensus"])
+def test_killed_front_end_is_restarted(backend):
+    campaign = Campaign(
+        name="kill-frontend", description="one front end killed",
+        duration_s=40.0, actions=[KillFrontEnd(at=8.0)],
+        manager_backend=backend)
+    runner = CampaignRunner(campaign, seed=3)
+    report = runner.run()
+    assert runner.fabric.frontend_restarts == 1
+    assert len(runner.fabric.alive_frontends()) == 2
+    assert report.ok, report.violations
 
 
 def test_checker_has_teeth(monkeypatch):

@@ -1,5 +1,6 @@
-"""Each package that sits on the chaos/experiments import cycle must
-import cleanly when it is the first thing a fresh interpreter loads."""
+"""Each package that sits on the chaos/experiments import cycle, or
+that takes its placement from :mod:`repro.cache.partition`, must import
+cleanly when it is the first thing a fresh interpreter loads."""
 
 import os
 import subprocess
@@ -14,6 +15,7 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 @pytest.mark.parametrize("module", [
     "repro.chaos", "repro.chaos.batch", "repro.experiments",
+    "repro.balance", "repro.dstore",
 ])
 def test_module_imports_first_in_fresh_interpreter(module):
     env = {**os.environ, "PYTHONPATH": SRC}

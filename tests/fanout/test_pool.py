@@ -15,7 +15,6 @@ from repro.fanout import (
     ShardSpec,
     run_sharded,
     shard_seed,
-    specs_for_seeds,
 )
 
 
@@ -47,10 +46,6 @@ def _flaky(marker_path, value):
             handle.write("attempted")
         os._exit(7)
     return value
-
-
-def _seeded(seed):
-    return seed
 
 
 def _specs(values, fn=_double):
@@ -138,14 +133,6 @@ def test_shard_seed_is_deterministic_and_distinct():
     assert shard_seed(1997, "a") == shard_seed(1997, "a")
     assert shard_seed(1997, "a") != shard_seed(1997, "b")
     assert shard_seed(1997, "a") != shard_seed(1998, "a")
-
-
-def test_specs_for_seeds_builds_labeled_specs():
-    specs = specs_for_seeds(_seeded, "bench", 1997, [3, 5])
-    assert [spec.shard_id for spec in specs] == \
-        ["bench#0:seed=3", "bench#1:seed=5"]
-    sweep = run_sharded(specs, jobs=2)
-    assert sweep.values() == [3, 5]
 
 
 def test_progress_callback_sees_every_shard():
